@@ -48,22 +48,23 @@ def digest(image):
     return hashlib.sha1(memoryview(np.ascontiguousarray(image)).cast("B")).digest()
 
 
-def synth_frames(seed, size, count, canvases):
-    """``count`` distinct ``size``x``size`` uint8 RGB frames for ``seed``.
+def frame_stream(seed, size, canvases):
+    """Endless distinct ``size``x``size`` uint8 RGB frames for ``seed``.
 
     The canvases are a fixed scene library (the same for every seed), used
     in turn; the seed picks each frame's crop and orientation.  Cycling a
     fixed library keeps the content mix, and so ``bpp`` and ``psnr_db``,
-    comparable from seed to seed.
+    comparable from seed to seed.  Frames are made as they are taken, so a
+    run holds only the ones it is working on.
     """
     margin = size // 4
     generator = SyntheticImageGenerator(size + margin, size + margin)
     pictures = [to_uint8(generator.generate(LIBRARY_SEED + index))
                 for index in range(canvases)]
     rng = np.random.default_rng([seed, size])
-    frames, seen = [], set()
-    while len(frames) < count:
-        picture = pictures[len(frames) % canvases]
+    seen, made = set(), 0
+    while True:
+        picture = pictures[made % canvases]
         y, x = rng.integers(0, margin + 1, size=2)
         orientation = int(rng.integers(8))
         crop = np.rot90(picture[y:y + size, x:x + size], orientation % 4)
@@ -73,8 +74,8 @@ def synth_frames(seed, size, count, canvases):
         key = digest(crop)
         if key not in seen:
             seen.add(key)
-            frames.append(crop)
-    return frames
+            made += 1
+            yield crop
 
 
 def psnr_db(image, source):

@@ -117,6 +117,8 @@ class LoadGenerator:
 
     def _check_one(self):
         outcome, pending = self._answered.popleft()
+        if outcome.error is not None:  # answered after its phase counted it timed out
+            return
         try:
             image = pending.result(timeout=0).image
         except Exception as error:  # noqa: BLE001 - the server's error is the outcome

@@ -5,12 +5,12 @@ Usage, from the repository root::
     python3 perfbench/steadiness.py --workload fleet-decode-128 --runs 10
     python3 perfbench/steadiness.py --workload all --runs 1   # every metric, every workload
 
-Runs ``perfbench/run.py`` once per seed (``--first-seed`` onwards) with
-``BENCHMARK.json``'s ``run_seconds`` unless ``--seconds`` is given, then
-prints for every end-to-end metric its median, quartiles, quartile spread
-as a share of the median, max/min ratio, and the metric's bound from
-``BENCHMARK.json``.  These are the numbers the bounds are set from: a spread
-should stay below a third of its bound.
+Runs ``perfbench/run.py`` once per seed, seeds 1 to ``--runs``, for
+``BENCHMARK.json``'s ``run_seconds``, then prints for every end-to-end
+metric its median, quartiles, quartile spread as a share of the median,
+max/min ratio, and the metric's bound from ``BENCHMARK.json``.  These are
+the numbers the bounds are set from: a spread should stay below a third of
+its bound.
 """
 
 from __future__ import annotations
@@ -27,11 +27,11 @@ sys.path.insert(0, ROOT)
 from perfbench.stats import quartile_spread  # noqa: E402 - needs the repo root on sys.path
 
 
-def run_once(workload, seed, seconds, trace=0):
-    """One benchmark run; returns the parsed last line of its output."""
+def run_once(workload, seed, seconds):
+    """One untraced benchmark run; returns the parsed last line of its output."""
     command = [sys.executable, os.path.join(ROOT, "perfbench", "run.py"),
                "--workload", workload, "--seed", str(seed),
-               "--seconds", str(seconds), "--trace", str(trace)]
+               "--seconds", str(seconds), "--trace", "0"]
     completed = subprocess.run(command, cwd=ROOT, capture_output=True, text=True,
                                timeout=600, check=True)
     return json.loads(completed.stdout.strip().splitlines()[-1])
@@ -50,10 +50,10 @@ def summarise(results, bounds):
     return rows
 
 
-def report(workload, runs, first_seed, seconds, bounds):
-    """Run ``workload`` ``runs`` times and print its spread table."""
+def report(workload, runs, seconds, bounds):
+    """Run ``workload`` with seeds 1 to ``runs`` and print its spread table."""
     results = []
-    for seed in range(first_seed, first_seed + runs):
+    for seed in range(1, runs + 1):
         result = run_once(workload, seed, seconds)
         results.append(result)
         print(f"{workload} seed {seed}: correct={result['correct']} "
@@ -62,7 +62,7 @@ def report(workload, runs, first_seed, seconds, bounds):
     print(f"{'metric':<18} {'unit':<6} {'q1':>11} {'median':>11} {'q3':>11} "
           f"{'spread':>8} {'max/min':>8} {'bound':>6}  verdict")
     for name, unit, q1, median, q3, spread, ratio, bound in summarise(results, bounds):
-        if bound is None or name == "setup_s":
+        if bound is None:
             verdict = "-"
         elif spread < bound / 3:
             verdict = "steady"
@@ -83,17 +83,14 @@ def main(argv=None):
     parser.add_argument("--workload", required=True,
                         help="a workload name from BENCHMARK.json, or 'all'")
     parser.add_argument("--runs", type=int, default=10)
-    parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=None)
     args = parser.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as handle:
         spec = json.load(handle)
-    seconds = args.seconds or spec["run_seconds"]
     bounds = {metric["name"]: metric["bound"] for metric in spec["end_to_end"]}
     names = ([workload["name"] for workload in spec["workloads"]]
              if args.workload == "all" else [args.workload])
     for name in names:
-        report(name, args.runs, args.first_seed, seconds, bounds)
+        report(name, args.runs, spec["run_seconds"], bounds)
     return 0
 
 

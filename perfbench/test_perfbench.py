@@ -5,6 +5,7 @@ Run with ``PYTHONPATH=src python -m pytest perfbench -q``.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import shutil
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 from perfbench import loadgen, stats, workloads
-from perfbench.inputs import RECONSTRUCT_TOLERANCE, Reference, synth_frames
+from perfbench.inputs import RECONSTRUCT_TOLERANCE, Reference, frame_stream
 from perfbench.tracing import Tracer
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -172,9 +173,10 @@ def test_tolerance_gate_rejects_an_error_above_1e_5():
 
 
 def test_frames_are_seeded_and_distinct():
-    first = synth_frames(3, 32, 40, canvases=2)
-    again = synth_frames(3, 32, 40, canvases=2)
-    other = synth_frames(4, 32, 40, canvases=2)
+    def take(seed):
+        return list(itertools.islice(frame_stream(seed, 32, canvases=2), 40))
+
+    first, again, other = take(3), take(3), take(4)
     assert all(np.array_equal(a, b) for a, b in zip(first, again))
     assert len({frame.tobytes() for frame in first}) == 40
     assert not all(np.array_equal(a, b) for a, b in zip(first, other))

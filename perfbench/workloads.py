@@ -1,10 +1,25 @@
 """The benchmark's workloads and the phases each one runs.
 
-Every workload draws its inputs from the seed, times set-up several times
-(model checkpoint load, construction, ``start()`` and warm-up) and reports
-the median, then runs its timed phases with tracing off.  The served
-workloads alternate a closed loop (throughput and end-to-end latency) with
-a Poisson phase (latency from due time, reported as ``loadgen.paced_*``).
+Every workload draws its inputs from the seed and runs its timed phases
+with tracing off.
+
+The host these numbers come from runs other tenants' work, and its speed
+drifts by a third over a few seconds.  So no metric is taken from one
+stretch of the run: each workload runs ``ROUNDS`` rounds spread over the
+whole run, and every round sets up afresh (model checkpoint load,
+construction, ``start()`` and warm-up, timed: ``setup_s`` is the median).
+
+* A roundtrip round times its frames one by one and computes each frame's
+  reference right after timing it.
+* A served round makes its frames, encodes them in contiguous, warmed
+  passes (timed: ``edge_encode_ms``) and computes their references while no
+  server runs, then sets up its server and sends the frames in a closed
+  loop (throughput and end-to-end latency) and a Poisson phase (latency
+  from due time, reported as ``loadgen.paced_*``).
+
+Frames and references exist only for the round that uses them, so the
+benchmark's own data in the measured process stays small and does not grow
+with ``--seconds``; ``peak_rss_mib`` is read over the timed phases only.
 With ``trace`` set a run also repeats each closed loop traced (the ratio of
 the two is the tracing overhead), traces the Poisson phase, replays the
 layers a server hides, and reports the per-layer metrics.
@@ -17,10 +32,11 @@ rather than measuring other inputs.
 
 from __future__ import annotations
 
+import itertools
 import os
 import statistics
 import time
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +47,7 @@ from repro.core.transport import pack_package, unpack_package
 from repro.serve import CompressionServer, ShardedCompressionServer
 
 from .host import PeakRss, cpu_seconds
-from .inputs import Reference, benchmark_config, digest, load_model, make_codec, synth_frames
+from .inputs import Reference, benchmark_config, digest, frame_stream, load_model, make_codec
 from .loadgen import LoadGenerator, PhaseResult, poisson_offsets
 from .stages import decode_stages, encode_frame, replay_edge
 from .stats import percentile, tail_percentile
@@ -42,9 +58,11 @@ RUN_BUDGET_S = 150.0
 #: The paced phase's Poisson arrival times are part of the workload, not of
 #: the seed: every run offers the same load, and the seed varies the frames.
 SCHEDULE_SEED = 7
-#: The closed-loop and paced phases alternate in this many rounds, so each
-#: metric samples the whole run rather than one stretch of a drifting host.
-ROUNDS = 3
+#: Rounds per run: each sets up afresh and samples the host at another time.
+ROUNDS = 6
+#: Encodes timed per served round at least: a round's frames are encoded in
+#: as many contiguous passes as this takes, so small rounds time enough work.
+EDGE_MIN_ENCODES = 60
 
 
 @dataclass(frozen=True)
@@ -65,7 +83,6 @@ class Workload:
     paced_share: float
     outstanding: int
     warmup: int
-    setup_repeats: int
     canvases: int
     replays: int
 
@@ -82,17 +99,20 @@ WORKLOADS = {
         # EaszDecoder.decode in-process, a fresh edge mask per frame
         Workload("roundtrip-512", 512, server="none", kind="reconstruct",
                  closed_per_s=1.5, paced_rate=0.0, paced_share=0.0, outstanding=1,
-                 warmup=1, setup_repeats=3, canvases=4, replays=0),
+                 warmup=1, canvases=4, replays=0),
         # a fleet sharing one mask, reconstruct kind, CompressionServer defaults;
-        # the Poisson phase runs near half of closed-loop capacity (~9 img/s)
+        # one request outstanding per worker reaches the capacity 4 do (~10
+        # img/s) without their queueing; the Poisson phase runs near half of it
         Workload("serve-reconstruct-256", 256, server="threaded", kind="reconstruct",
-                 closed_per_s=7.0, paced_rate=4.5, paced_share=0.3, outstanding=4,
-                 warmup=8, setup_repeats=3, canvases=8, replays=8),
+                 closed_per_s=8.0, paced_rate=4.5, paced_share=0.2, outstanding=2,
+                 warmup=8, canvases=8, replays=8),
         # many small decode-kind requests, ShardedCompressionServer defaults;
-        # the Poisson phase runs at ~1/4 of closed-loop capacity (~150/s)
+        # 2 outstanding keeps every per-request cost on the critical path and
+        # reads ~10% below 4 outstanding, whose figures spread twice as wide;
+        # the Poisson phase runs at ~1/4 of closed-loop throughput (~150/s)
         Workload("fleet-decode-128", 128, server="sharded", kind="decode",
-                 closed_per_s=54.0, paced_rate=40.0, paced_share=0.3, outstanding=4,
-                 warmup=16, setup_repeats=7, canvases=16, replays=32),
+                 closed_per_s=70.0, paced_rate=40.0, paced_share=0.3, outstanding=2,
+                 warmup=16, canvases=16, replays=32),
     )
 }
 
@@ -121,17 +141,25 @@ def _tail_metric(latencies_ms):
     return Metric(value, "ms", f"p{q:g} of {count} samples, {beyond} beyond it")
 
 
-def _rss_note(rss, processes):
-    window = "timed phases" if rss.reset else "process lifetime (high-water mark not resettable)"
-    return f"{processes}, peak over the {window}"
+def _peak_rss(marks, processes):
+    """The highest of several timed stretches' peaks, with its note."""
+    window = ("timed phases" if all(mark.reset for mark in marks)
+              else "process lifetime (high-water mark not resettable)")
+    return Metric(max(mark.mib() for mark in marks), "MiB",
+                  f"{processes}, peak over the {window}; the benchmark holds only "
+                  "the frames and references in use")
 
 
-def _bpp(blobs, size):
-    return float(np.mean([len(blob) * 8.0 / (size * size) for blob in blobs]))
+def _bpp(sizes, size):
+    return float(np.mean([length * 8.0 / (size * size) for length in sizes]))
 
 
-def _repeated_share(blobs):
-    return 1.0 - len({digest(np.frombuffer(blob, np.uint8)) for blob in blobs}) / len(blobs)
+def _repeated_share(digests):
+    return 1.0 - len(set(digests)) / len(digests)
+
+
+def _blob_digest(blob):
+    return digest(np.frombuffer(blob, np.uint8))
 
 
 # ---------------------------------------------------------------------- #
@@ -140,98 +168,112 @@ def _repeated_share(blobs):
 def run_roundtrip(workload, seed, seconds, trace, out_dir):
     config = benchmark_config()
     count = workload.closed_count(seconds)
-    traced_count = count if trace else 0
-    frames = synth_frames(seed, workload.size, workload.warmup + count + traced_count,
-                          workload.canvases)
-    warm, timed = frames[:workload.warmup], frames[workload.warmup:]
-    # the encoder RNG draws the same mask sequence here as in the timed loop
-    reference_encoder = EaszEncoder(config, make_codec(), seed=seed)
-    blobs = [pack_package(reference_encoder.encode(frame)) for frame in timed]
-    model = load_model(config)
-    # the timed path is EaszDecoder.decode, so the reference is the decoder's
-    # batched path: a second implementation, cheaper by about a third
-    decoder = EaszDecoder(model=model, config=config, base_codec=make_codec())
-    references = [Reference(decoder.decode_batch([unpack_package(blob)])[0], frame, exact=False)
-                  for blob, frame in zip(blobs, timed)]
+    frames = frame_stream(seed, workload.size, workload.canvases)
+    warm = list(itertools.islice(frames, workload.warmup))
     warm_mask = EaszEncoder(config, seed=seed + 1).generate_mask()
 
-    setups = []
-    for _ in range(1 if trace else workload.setup_repeats):
+    def set_up(round_seed):
+        """Checkpoint load, construction and a warm-up roundtrip; returns both ends and the time."""
         started = time.perf_counter()
-        model = load_model(config)
-        encoder = EaszEncoder(config, make_codec(), seed=seed)
-        decoder = EaszDecoder(model=model, config=config, base_codec=make_codec())
+        encoder = EaszEncoder(config, make_codec(), seed=round_seed)
+        decoder = EaszDecoder(model=load_model(config), config=config, base_codec=make_codec())
         for frame in warm:
             decoder.decode(unpack_package(pack_package(encoder.encode(frame, mask=warm_mask))))
-        setups.append(time.perf_counter() - started)
+        return encoder, decoder, time.perf_counter() - started
 
-    latencies, encodes, ok = [], [], 0
+    # each answer is checked right after it is timed, against the same edge
+    # (same seed, so the same mask sequence) and the decoder's batched path:
+    # the timed call is EaszDecoder.decode, so the reference is a second
+    # implementation, cheaper by about a third
+    reference_decoder = EaszDecoder(model=load_model(config), config=config,
+                                    base_codec=make_codec())
+    sizes, digests, psnrs = [], [], []
+
+    def check(reference_encoder, frame, image):
+        blob = pack_package(reference_encoder.encode(frame))
+        reference = Reference(reference_decoder.decode_batch([unpack_package(blob)])[0],
+                              frame, exact=False)
+        sizes.append(len(blob))
+        digests.append(_blob_digest(blob))
+        psnrs.append(reference.psnr)
+        return reference.matches(image)
+
+    latencies, encodes, rss_marks, setups = [], [], [], []
+    busy_s, cpu_s, ok = 0.0, 0.0, 0
     pid = os.getpid()
-    cpu_before = cpu_seconds(pid)
-    with PeakRss(pid) as rss:
-        phase_start = time.perf_counter()
-        for index, frame in enumerate(timed[:count]):
-            started = time.perf_counter()
-            package = encoder.encode(frame)
-            encoded = time.perf_counter()
-            image = decoder.decode(unpack_package(pack_package(package)))
-            finished = time.perf_counter()
-            if references[index].matches(image):
+    for index, ids in enumerate(_rounds(range(count))):
+        if not ids:
+            continue
+        round_seed = [seed, index]
+        encoder, decoder, setup_s = set_up(round_seed)
+        setups.append(setup_s)
+        reference_encoder = EaszEncoder(config, make_codec(), seed=round_seed)
+        for frame in itertools.islice(frames, len(ids)):
+            cpu_before = cpu_seconds(pid)
+            with PeakRss(pid) as rss:
+                started = time.perf_counter()
+                package = encoder.encode(frame)
+                encoded = time.perf_counter()
+                image = decoder.decode(unpack_package(pack_package(package)))
+                finished = time.perf_counter()
+            cpu_s += cpu_seconds(pid) - cpu_before
+            rss_marks.append(rss)
+            busy_s += finished - started
+            if check(reference_encoder, frame, image):
                 ok += 1
                 latencies.append((finished - started) * 1e3)
                 encodes.append((encoded - started) * 1e3)
-        phase_s = time.perf_counter() - phase_start
-    cpu_s = cpu_seconds(pid) - cpu_before
-    throughput = ok / phase_s
 
     end_to_end = {
-        "setup_s": Metric(statistics.median(setups), "s", f"median of {len(setups)}"),
-        "throughput_ips": Metric(throughput, "1/s", f"{ok} frames, 1 client"),
+        "setup_s": Metric(statistics.median(setups), "s",
+                          f"median of {len(setups)}, one per round"),
+        "throughput_ips": Metric(ok / busy_s, "1/s",
+                                 f"{ok} frames, 1 client, per second spent in requests"),
         "latency_p50_ms": Metric(percentile(latencies, 50) if latencies else 0.0, "ms",
                                  "closed loop, 1 client"),
         "latency_tail_ms": _tail_metric(latencies) if latencies else Metric(0.0, "ms"),
         "success_rate": Metric(ok / count, "share", f"{ok}/{count}"),
         "edge_encode_ms": Metric(percentile(encodes, 50) if encodes else 0.0, "ms",
                                  f"median of {len(encodes)} encodes, mask drawn per frame"),
-        "bpp": Metric(_bpp(blobs[:count], workload.size), "bpp"),
-        "psnr_db": Metric(np.mean([ref.psnr for ref in references[:count]]), "dB"),
-        "peak_rss_mib": Metric(rss.mib(), "MiB", _rss_note(rss, "benchmark process")),
+        "bpp": Metric(_bpp(sizes, workload.size), "bpp"),
+        "psnr_db": Metric(np.mean(psnrs), "dB"),
+        "peak_rss_mib": _peak_rss(rss_marks, "benchmark process, one request at a time"),
     }
-    notes = [f"inputs: {count} distinct {workload.size}x{workload.size} RGB frames, "
-             f"repeated payload share {_repeated_share(blobs[:count]):.3f}"]
+    notes = [f"inputs: {count} distinct {workload.size}x{workload.size} RGB frames in "
+             f"{len(setups)} rounds, repeated payload share {_repeated_share(digests):.3f}"]
     attempted, checked_ok = count, ok
     per_layer = {}
     if trace:
         tracer = Tracer()
         codec = make_codec()
+        encoder, decoder, _ = set_up([seed, ROUNDS])
+        reference_encoder = EaszEncoder(config, make_codec(), seed=[seed, ROUNDS])
         traced_ok, traced_ms = 0, []
-        for index in range(count, count + traced_count):
-            frame = timed[index]
+        for rid, frame in enumerate(itertools.islice(frames, count), count):
             started = time.perf_counter()
-            with tracer.span("request", index):
-                package, mask = encode_frame(encoder, frame, tracer, index)
-                with tracer.span("core.transport.pack", index):
+            with tracer.span("request", rid):
+                package, mask = encode_frame(encoder, frame, tracer, rid)
+                with tracer.span("core.transport.pack", rid):
                     blob = pack_package(package)
-                with tracer.span("core.transport.unpack", index):
+                with tracer.span("core.transport.unpack", rid):
                     received = unpack_package(blob)
-                _, image = decode_stages(received, codec, model, config, tracer, index,
+                _, image = decode_stages(received, codec, decoder.model, config, tracer, rid,
                                          reconstruct=True)
             traced_ms.append((time.perf_counter() - started) * 1e3)
-            replay_edge(codec, config, frame, mask, tracer, index)
-            if references[index].matches(image):
-                traced_ok += 1
-        attempted += traced_count
+            replay_edge(codec, config, frame, mask, tracer, rid)
+            traced_ok += check(reference_encoder, frame, image)
+        attempted += count
         checked_ok += traced_ok
         untraced_mean = float(np.mean(latencies)) if latencies else 0.0
         covered_ms = tracer.request_children_ms("request")
         p50 = end_to_end["latency_p50_ms"].value
         per_layer = _per_layer(
             tracer,
-            bytes_per_frame=float(np.mean([len(blob) for blob in blobs[:count]])),
+            bytes_per_frame=float(np.mean(sizes[:count])),
             cpu_ms=cpu_s / max(ok, 1) * 1e3,
             overhead=1.0 - untraced_mean / float(np.mean(traced_ms)) if traced_ms else 0.0,
             covered_ms=covered_ms, coverage=covered_ms / p50 if p50 else 0.0,
-            checked=attempted, repeated=_repeated_share(blobs))
+            checked=attempted, repeated=_repeated_share(digests))
         notes.append(f"trace: layer self times sum to {covered_ms:.1f} ms per request "
                      f"against an untraced p50 of {p50:.1f} ms "
                      f"(ratio {covered_ms / p50 if p50 else 0.0:.3f})")
@@ -244,10 +286,19 @@ def run_roundtrip(workload, seed, seconds, trace, out_dir):
 # ---------------------------------------------------------------------- #
 # served workloads: pre-encoded containers through submit_bytes
 # ---------------------------------------------------------------------- #
-def _make_server(workload, model, config):
+def _set_up_server(workload, config, warm_blobs):
+    """Checkpoint load, construction, ``start()`` and warm-up; returns the server and its time."""
+    started = time.perf_counter()
+    model = load_model(config)
     if workload.server == "threaded":
-        return CompressionServer(model=model, config=config)
-    return ShardedCompressionServer(model=model, config=config)
+        server = CompressionServer(model=model, config=config)
+    else:
+        server = ShardedCompressionServer(model=model, config=config)
+    server.start()
+    warmups = [server.submit_bytes(blob, kind=workload.kind) for blob in warm_blobs]
+    for pending in warmups:
+        pending.result(timeout=60.0)
+    return server, time.perf_counter() - started
 
 
 def _shard_pids(server):
@@ -259,118 +310,130 @@ def _shard_pids(server):
 
 def _rounds(indices):
     """``indices`` cut into ``ROUNDS`` consecutive chunks of near-equal size."""
-    return [chunk.tolist() for chunk in np.array_split(np.asarray(indices), ROUNDS)]
+    return [chunk.tolist() for chunk in np.array_split(np.asarray(indices, dtype=int), ROUNDS)]
 
 
-def _cpu_seconds(pid, server):
-    return cpu_seconds(pid) + sum(cpu_seconds(shard) for shard in _shard_pids(server))
+def _cpu_seconds(pid, shard_pids):
+    return cpu_seconds(pid) + sum(cpu_seconds(shard) for shard in shard_pids)
 
 
 def _serve_counters(server):
-    """Cumulative counters of one server, reduced to what the metrics need."""
+    """Cumulative counters of one server as one flat ``Counter``."""
     snapshot = server.stats.snapshot()
-    caches = defaultdict(lambda: [0, 0])
+    counts = Counter({name: snapshot[name]
+                      for name in ("completed", "rejected", "failed", "deadline_shed")})
+    counts["queue_wait_s"] = snapshot["queue_wait_seconds_total"]
+    counts["service_s"] = snapshot["service_seconds_total"]
+    for size, count in snapshot["batch_size_histogram"].items():
+        counts["batch", int(size)] += count
+    for transport, count in snapshot["response_transport"].items():
+        counts["transport", transport] += count
     for stats_list in snapshot["caches"].values():
         for stats in stats_list:
-            caches[stats["name"]][0] += stats["hits"]
-            caches[stats["name"]][1] += stats["misses"]
-    per_shard = {}
+            counts["hits", stats["name"]] += stats["hits"]
+            counts["misses", stats["name"]] += stats["misses"]
     if isinstance(server, ShardedCompressionServer):
-        per_shard = {index: snap["completed"] for index, snap in server.shard_snapshots()}
-    return {
-        "completed": snapshot["completed"],
-        "queue_wait_s": snapshot["queue_wait_seconds_total"],
-        "service_s": snapshot["service_seconds_total"],
-        "batches": Counter({int(size): count for size, count
-                            in snapshot["batch_size_histogram"].items()}),
-        "rejected": snapshot["rejected"],
-        "failed": snapshot["failed"],
-        "deadline_shed": snapshot["deadline_shed"],
-        "transport": Counter(snapshot["response_transport"]),
-        "caches": {name: tuple(pair) for name, pair in caches.items()},
-        "per_shard": per_shard,
-    }
+        for index, snap in server.shard_snapshots():
+            counts["shard", index] += snap["completed"]
+    return counts
 
 
-def _hit_ratio(before, after, names):
-    hits = sum(after["caches"].get(n, (0, 0))[0] - before["caches"].get(n, (0, 0))[0]
-               for n in names)
-    misses = sum(after["caches"].get(n, (0, 0))[1] - before["caches"].get(n, (0, 0))[1]
-                 for n in names)
-    return hits / (hits + misses) if hits + misses else 0.0
+def _hit_ratio(counts, names):
+    hits = sum(counts["hits", name] for name in names)
+    lookups = hits + sum(counts["misses", name] for name in names)
+    return hits / lookups if lookups else 0.0
+
+
+def _edge_pass(encoder, frames, ids, mask, tracer):
+    """The cameras' encodes of one round: contiguous passes after an untimed warm-up.
+
+    Returns the packages and each encode's wall time in milliseconds.
+    """
+    encoder.encode(frames[0], mask=mask)
+    times = []
+    for _ in range(-(-EDGE_MIN_ENCODES // len(frames))):
+        packages = []
+        for rid, frame in zip(ids, frames):
+            started = time.perf_counter()
+            package, _ = encode_frame(encoder, frame, tracer, rid, mask=mask)
+            times.append((time.perf_counter() - started) * 1e3)
+            packages.append(package)
+    return packages, times
 
 
 def run_served(workload, seed, seconds, trace, out_dir):
     config = benchmark_config()
+    reconstruct = workload.kind == "reconstruct"
     n_closed = workload.closed_count(seconds)
     n_traced = n_closed if trace else 0
     n_paced = workload.paced_count(seconds)
-    warm = workload.warmup
-    frames = synth_frames(seed, workload.size, warm + n_closed + n_traced + n_paced,
-                          workload.canvases)
     tracer = Tracer() if trace else NullTracer()
+    frames = frame_stream(seed, workload.size, workload.canvases)
 
-    # the cameras: one shared mask, every frame encoded and packed up front;
-    # each timed frame's reference is computed right after its encode, so
-    # the encode timings spread over the whole preparation, not one burst
+    # the cameras share one mask
     encoder = EaszEncoder(config, make_codec(), seed=seed)
     with tracer.span("edge.mask"):
         mask = encoder.generate_mask()
-    model = load_model(config)
-    decoder = EaszDecoder(model=model, config=config, base_codec=make_codec())
-    blobs, encode_ms, references = [], [], []
-    for rid, frame in enumerate(frames):
-        started = time.perf_counter()
-        package, _ = encode_frame(encoder, frame, tracer, rid, mask=mask)
-        encode_ms.append((time.perf_counter() - started) * 1e3)
-        blobs.append(pack_package(package))
-        if rid >= warm:
-            decoded = decoder.decode(package, reconstruct=workload.kind == "reconstruct")
-            references.append(Reference(decoded, frame, exact=workload.kind == "decode"))
-        else:
-            references.append(None)
-    replay_frames = frames[warm:warm + workload.replays]
-    del frames
+    warm_blobs = [pack_package(encoder.encode(frame, mask=mask))
+                  for frame in itertools.islice(frames, workload.warmup)]
+    decoder = EaszDecoder(model=load_model(config), config=config, base_codec=make_codec())
 
-    server, setups = None, []
-    for _ in range(1 if trace else workload.setup_repeats):
-        if server is not None:
-            server.stop()
-        started = time.perf_counter()
-        model = load_model(config)
-        server = _make_server(workload, model, config)
-        server.start()
-        warmups = [server.submit_bytes(blob, kind=workload.kind) for blob in blobs[:warm]]
-        for pending in warmups:
-            pending.result(timeout=60.0)
-        setups.append(time.perf_counter() - started)
-
-    first_paced = warm + n_closed + n_traced
-    closed_ids = _rounds(range(warm, warm + n_closed))
-    traced_ids = _rounds(range(warm + n_closed, first_paced))
+    first_traced, first_paced = n_closed, n_closed + n_traced
+    closed_ids = _rounds(range(first_traced))
+    traced_ids = _rounds(range(first_traced, first_paced))
     paced_ids = _rounds(range(first_paced, first_paced + n_paced))
     schedule = np.array_split(poisson_offsets(np.random.default_rng(SCHEDULE_SEED),
                                               workload.paced_rate, n_paced), ROUNDS)
-    generator = LoadGenerator(server, workload.kind, blobs, references,
-                              deadline=time.perf_counter() + RUN_BUDGET_S)
-    pid = os.getpid()
-    closed, traced, paced, cpu_s = [], [], [], 0.0
-    try:
-        before = _serve_counters(server)
-        with PeakRss(pid, _shard_pids(server)) as rss:
-            for index in range(ROUNDS):
-                generator.tracer = None
-                cpu_before = _cpu_seconds(pid, server)
+    deadline = time.perf_counter() + RUN_BUDGET_S
+    pid, num_shards = os.getpid(), 0
+    setups, encode_ms, sizes, digests, psnrs, replays = [], [], [], [], {}, []
+    closed, traced, paced, rss_marks, cpu_s = [], [], [], [], 0.0
+    served = Counter()
+    for index in range(ROUNDS):
+        ids = closed_ids[index] + traced_ids[index] + paced_ids[index]
+        if not ids:
+            continue
+        # the cameras and the references first, while no server runs
+        round_frames = list(itertools.islice(frames, len(ids)))
+        packages, times = _edge_pass(encoder, round_frames, ids, mask, tracer)
+        encode_ms += times
+        blobs, references = {}, {}
+        for rid, frame, package in zip(ids, round_frames, packages):
+            blobs[rid] = pack_package(package)
+            sizes.append(len(blobs[rid]))
+            digests.append(_blob_digest(blobs[rid]))
+            references[rid] = Reference(decoder.decode(package, reconstruct=reconstruct),
+                                        frame, exact=not reconstruct)
+            psnrs[rid] = references[rid].psnr
+        if trace and not replays:
+            replays = [(rid, frame, blobs[rid])
+                       for rid, frame in zip(ids, round_frames)][:workload.replays]
+        del round_frames, packages
+
+        # each round runs on a server of its own, so set-up is timed once a round
+        server, setup_s = _set_up_server(workload, config, warm_blobs)
+        setups.append(setup_s)
+        shard_pids = _shard_pids(server)
+        num_shards = len(shard_pids)
+        try:
+            generator = LoadGenerator(server, workload.kind, blobs, references, deadline)
+            before = _serve_counters(server)
+            cpu_before = _cpu_seconds(pid, shard_pids)
+            with PeakRss(pid, shard_pids) as rss:
                 closed.append(generator.closed(closed_ids[index], workload.outstanding))
-                cpu_s += _cpu_seconds(pid, server) - cpu_before
-                generator.tracer = tracer if trace else None
-                traced.append(generator.closed(traced_ids[index], workload.outstanding))
-                offsets = schedule[index]
+            cpu_s += _cpu_seconds(pid, shard_pids) - cpu_before
+            rss_marks.append(rss)
+            generator.tracer = tracer if trace else None
+            traced.append(generator.closed(traced_ids[index], workload.outstanding))
+            offsets = schedule[index]
+            with PeakRss(pid, shard_pids) as rss:
                 paced.append(generator.paced(paced_ids[index],
                                              offsets - offsets[0] if offsets.size else offsets))
-        after = _serve_counters(server)
-    finally:
-        server.stop()
+            rss_marks.append(rss)
+            served.update(_serve_counters(server))
+            served.subtract(before)
+        finally:
+            server.stop()
     closed, traced, paced = (PhaseResult.combine(phases) for phases in (closed, traced, paced))
 
     attempted = n_closed + n_traced + n_paced
@@ -384,9 +447,9 @@ def run_served(workload, seed, seconds, trace, out_dir):
     # of itself over ten seeds; they are reported as loadgen.paced_* instead
     latencies = closed.latencies_ms()
     paced_latencies = paced.latencies_ms()
-    timed_blobs = blobs[warm:]
     end_to_end = {
-        "setup_s": Metric(statistics.median(setups), "s", f"median of {len(setups)}"),
+        "setup_s": Metric(statistics.median(setups), "s",
+                          f"median of {len(setups)}, one per round"),
         "throughput_ips": Metric(closed.throughput(), "1/s",
                                  f"closed loop, {workload.outstanding} outstanding, "
                                  f"{len(closed.ok)}/{n_closed} correct"),
@@ -396,18 +459,20 @@ def run_served(workload, seed, seconds, trace, out_dir):
         "success_rate": Metric(ok / attempted, "share", f"{ok}/{attempted}"),
         "edge_encode_ms": Metric(percentile(encode_ms, 50), "ms",
                                  f"median of {len(encode_ms)} encodes, shared mask, "
-                                 "before the server starts"),
-        "bpp": Metric(_bpp(timed_blobs, workload.size), "bpp"),
-        "psnr_db": Metric(np.mean([references[o.index].psnr for o in ok_outcomes])
+                                 "contiguous warmed passes, at least "
+                                 f"{EDGE_MIN_ENCODES} a round"),
+        "bpp": Metric(_bpp(sizes, workload.size), "bpp"),
+        "psnr_db": Metric(np.mean([psnrs[o.index] for o in ok_outcomes])
                           if ok_outcomes else 0.0, "dB"),
-        "peak_rss_mib": Metric(rss.mib(), "MiB", _rss_note(
-            rss, "parent + largest shard" if workload.server == "sharded" else "server process")),
+        "peak_rss_mib": _peak_rss(rss_marks, "parent + largest shard"
+                                  if workload.server == "sharded" else "server process"),
     }
     lags = paced.lags_ms()
     paced_p50 = percentile(paced_latencies, 50) if paced_latencies else 0.0
     paced_tail = _tail_metric(paced_latencies) if paced_latencies else Metric(0.0, "ms")
-    notes = [f"inputs: {len(timed_blobs)} distinct {workload.size}x{workload.size} RGB "
-             f"containers, repeated payload share {_repeated_share(timed_blobs):.3f}",
+    notes = [f"inputs: {len(sizes)} distinct {workload.size}x{workload.size} RGB "
+             f"containers in {len(setups)} rounds, repeated payload share "
+             f"{_repeated_share(digests):.3f}",
              f"paced: {n_paced} Poisson requests at {workload.paced_rate:g}/s, latency from "
              f"due time p50 {paced_p50:.1f} ms, tail {paced_tail.value:.1f} ms "
              f"({paced_tail.note}), generator lag p99 "
@@ -415,19 +480,20 @@ def run_served(workload, seed, seconds, trace, out_dir):
     per_layer = {}
     if trace:
         codec = make_codec()
-        replay_ids = list(range(warm, warm + len(replay_frames)))
+        model = decoder.model
         filled = []
-        for rid, frame in zip(replay_ids, replay_frames):
+        for rid, frame, blob in replays:
             with tracer.span("core.transport.unpack", rid):
-                package = unpack_package(blobs[rid])
+                package = unpack_package(blob)
             with tracer.span("core.transport.pack", rid):
                 pack_package(package)
             filled.append(decode_stages(package, codec, model, config, tracer, rid,
-                                        reconstruct=workload.kind == "reconstruct")[0])
+                                        reconstruct=reconstruct)[0])
             replay_edge(codec, config, frame, mask, tracer, rid)
-        batches = after["batches"] - before["batches"]
+        batches = {key[1]: count for key, count in served.items()
+                   if isinstance(key, tuple) and key[0] == "batch" and count}
         per_image_ms = 0.0
-        if workload.kind == "reconstruct" and batches:
+        if reconstruct and batches and filled:
             batch_ms = {}
             for size in sorted(batches):
                 images = (filled * size)[:size]
@@ -437,34 +503,32 @@ def run_served(workload, seed, seconds, trace, out_dir):
                 batch_ms[size] = (time.perf_counter() - started) * 1e3
             per_image_ms = (sum(batches[s] * batch_ms[s] for s in batches)
                             / sum(batches[s] * s for s in batches))
-        completed = max(after["completed"] - before["completed"], 1)
-        transport = after["transport"] - before["transport"]
-        shards = [after["per_shard"].get(i, 0) - before["per_shard"].get(i, 0)
-                  for i in sorted(after["per_shard"])]
+        completed = max(served["completed"], 1)
+        responses = sum(count for key, count in served.items()
+                        if isinstance(key, tuple) and key[0] == "transport")
+        shards = [served["shard", index] for index in range(num_shards)]
         closed_tput, traced_tput = closed.throughput(), traced.throughput()
         per_layer = _per_layer(
             tracer,
-            bytes_per_frame=float(np.mean([len(blob) for blob in timed_blobs])),
+            bytes_per_frame=float(np.mean(sizes)),
             cpu_ms=cpu_s / max(len(closed.ok), 1) * 1e3,
             overhead=1.0 - traced_tput / closed_tput if closed_tput else 0.0,
             covered_ms=tracer.request_children_ms("serve.request"),
             coverage=(tracer.request_children_ms("serve.request")
                       / end_to_end["latency_p50_ms"].value
                       if end_to_end["latency_p50_ms"].value else 0.0),
-            checked=attempted, repeated=_repeated_share(timed_blobs),
+            checked=attempted, repeated=_repeated_share(digests),
             batch_ms_per_image=per_image_ms,
-            queue_wait_ms=(after["queue_wait_s"] - before["queue_wait_s"]) / completed * 1e3,
-            service_ms=(after["service_s"] - before["service_s"]) / completed * 1e3,
+            queue_wait_ms=served["queue_wait_s"] / completed * 1e3,
+            service_ms=served["service_s"] / completed * 1e3,
             batch_mean=(sum(s * c for s, c in batches.items()) / sum(batches.values())
                         if batches else 0.0),
-            rejected=after["rejected"] - before["rejected"],
-            failed=after["failed"] - before["failed"],
-            deadline_shed=after["deadline_shed"] - before["deadline_shed"],
-            shm_share=(transport["shm"] / sum(transport.values())
-                       if sum(transport.values()) else 0.0),
+            rejected=served["rejected"], failed=served["failed"],
+            deadline_shed=served["deadline_shed"],
+            shm_share=served["transport", "shm"] / responses if responses else 0.0,
             shard_imbalance=max(shards) / max(min(shards), 1) if shards else 0.0,
-            plan_hits=_hit_ratio(before, after, ("squeeze_plans", "pixel_plans")),
-            codec_hits=_hit_ratio(before, after, ("codecs",)),
+            plan_hits=_hit_ratio(served, ("squeeze_plans", "pixel_plans")),
+            codec_hits=_hit_ratio(served, ("codecs",)),
             lag_p99=percentile(lags, 99) if lags else 0.0,
             paced_p50=paced_p50, paced_tail=paced_tail.value)
         if shards:
