@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ctypes
+import gc
 import os
 import platform
 
@@ -41,6 +43,20 @@ def cpu_seconds(pid):
         return (int(fields[11]) + int(fields[12])) / _TICKS
     except (OSError, IndexError, ValueError):
         return 0.0
+
+
+def trim_heap():
+    """Collect garbage and hand the allocator's free pages back to the OS.
+
+    Run before a peak-RSS window of a process that did other work first, so
+    the window starts from live memory rather than from freed blocks the
+    allocator kept (glibc's ``malloc_trim``; elsewhere only the collection).
+    """
+    gc.collect()
+    try:
+        ctypes.CDLL(None).malloc_trim(0)
+    except (OSError, AttributeError):
+        pass
 
 
 def _status_kib(pid, field):

@@ -21,9 +21,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import os
 import shutil
 import sys
+from multiprocessing import resource_tracker
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -55,7 +57,27 @@ def main(argv=None):
     try:
         return _run(args, out_dir)
     finally:
+        _stop_children()
         shutil.rmtree(cache_dir, ignore_errors=True)
+
+
+def _stop_children():
+    """Stop every process the run started and wait until each has ended.
+
+    Besides the shard processes, a sharded server's shared-memory ring starts
+    multiprocessing's resource tracker, which would otherwise outlive this
+    process until it noticed that its parent was gone.
+    """
+    for child in multiprocessing.active_children():
+        child.terminate()
+    for child in multiprocessing.active_children():
+        child.join(timeout=5.0)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    tracker = getattr(resource_tracker, "_resource_tracker", None)
+    if tracker is not None and hasattr(tracker, "_stop"):
+        tracker._stop()
 
 
 def _run(args, out_dir):

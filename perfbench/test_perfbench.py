@@ -214,13 +214,34 @@ def test_traced_smoke_run_of_each_workload(name, private_cache):
     assert all(np.isfinite(metric.value) for metric in result.per_layer.values())
 
 
+def _session_members(session):
+    """Pids of the processes, zombies included, whose session is ``session``."""
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="ascii") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[3]) == session:
+            members.append(int(entry))
+    return members
+
+
 def test_command_prints_the_result_contract():
     spec = _spec()
     command = [sys.executable, *spec["command"][1:], "--workload", "fleet-decode-128",
                "--seed", "2", "--seconds", "0.5", "--trace", "0"]
-    completed = subprocess.run(command, cwd=ROOT, capture_output=True, text=True,
-                               timeout=300, check=True)
-    result = json.loads(completed.stdout.strip().splitlines()[-1])
+    # a session of its own, so whatever the run starts can be found after it
+    with subprocess.Popen(command, cwd=ROOT, stdout=subprocess.PIPE, text=True,
+                          start_new_session=True) as process:
+        stdout, _ = process.communicate(timeout=300)
+    assert process.returncode == 0
+    # the shards and the shared-memory ring's resource tracker are gone too
+    assert _session_members(process.pid) == []
+    result = json.loads(stdout.strip().splitlines()[-1])
     assert set(result) == {"correct", "attempted", "failed", "metrics"}
     assert result["correct"] is True and result["failed"] == 0
     assert {name: metric["unit"] for name, metric in result["metrics"].items()} == \

@@ -11,15 +11,20 @@ construction, ``start()`` and warm-up, timed: ``setup_s`` is the median).
 
 * A roundtrip round times its frames one by one and computes each frame's
   reference right after timing it.
-* A served round makes its frames, encodes them in contiguous, warmed
-  passes (timed: ``edge_encode_ms``) and computes their references while no
-  server runs, then sets up its server and sends the frames in a closed
-  loop (throughput and end-to-end latency) and a Poisson phase (latency
-  from due time, reported as ``loadgen.paced_*``).
+* A served round makes its frames, encodes them and computes their
+  references while no server runs, then sets up its server and sends the
+  frames in a closed loop (throughput and end-to-end latency) and a Poisson
+  phase (latency from due time, reported as ``loadgen.paced_*``).
+  Its ``edge_encode_ms`` comes from short windows of back-to-back encodes,
+  three a round: before the server starts and after each of its phases,
+  while the server is idle.
 
 Frames and references exist only for the round that uses them, so the
 benchmark's own data in the measured process stays small and does not grow
-with ``--seconds``; ``peak_rss_mib`` is read over the timed phases only.
+with ``--seconds``; ``peak_rss_mib`` is read over the timed phases only,
+and a served phase starts from a collected, trimmed heap, so the figure is
+the server's live memory and what it allocates, not freed blocks the
+allocator kept from the round's reference decodes.
 With ``trace`` set a run also repeats each closed loop traced (the ratio of
 the two is the tracing overhead), traces the Poisson phase, replays the
 layers a server hides, and reports the per-layer metrics.
@@ -46,7 +51,7 @@ from repro.core.reconstruction import reconstruct_batch
 from repro.core.transport import pack_package, unpack_package
 from repro.serve import CompressionServer, ShardedCompressionServer
 
-from .host import PeakRss, cpu_seconds
+from .host import PeakRss, cpu_seconds, trim_heap
 from .inputs import Reference, benchmark_config, digest, frame_stream, load_model, make_codec
 from .loadgen import LoadGenerator, PhaseResult, poisson_offsets
 from .stages import decode_stages, encode_frame, replay_edge
@@ -60,9 +65,23 @@ RUN_BUDGET_S = 150.0
 SCHEDULE_SEED = 7
 #: Rounds per run: each sets up afresh and samples the host at another time.
 ROUNDS = 6
-#: Encodes timed per served round at least: a round's frames are encoded in
-#: as many contiguous passes as this takes, so small rounds time enough work.
-EDGE_MIN_ENCODES = 60
+#: Back-to-back encodes in one edge timing window of a served workload,
+#: whose ``edge_encode_ms`` is the lowest window median of a run.  The host
+#: switches between two speeds about 1.5x apart, each held for one to
+#: several seconds, and the slow share of a run ranged from a fifth to over
+#: nine tenths, so any percentile of a run's encode times jumped between the
+#: two speeds from run to run.  A window is short enough to see one speed,
+#: and three a round spread the windows over the whole run, so almost every
+#: run has one at the fast speed: the figure follows the encoder, not the
+#: neighbours.
+EDGE_WINDOW = 10
+#: The roundtrip's ``edge_encode_ms`` is this percentile of its request
+#: encodes instead.  Each draws a fresh mask, and windows of fresh-mask
+#: encodes would fill the squeeze-plan cache (128 plans, several MiB each at
+#: 512x512) and with it ``peak_rss_mib``; the request encodes are seconds
+#: apart, so each sees the host's speed of its moment, and a low percentile
+#: of them is a fast-speed encode while a tenth of the run is fast.
+ROUNDTRIP_EDGE_PERCENTILE = 10
 
 
 @dataclass(frozen=True)
@@ -233,8 +252,10 @@ def run_roundtrip(workload, seed, seconds, trace, out_dir):
                                  "closed loop, 1 client"),
         "latency_tail_ms": _tail_metric(latencies) if latencies else Metric(0.0, "ms"),
         "success_rate": Metric(ok / count, "share", f"{ok}/{count}"),
-        "edge_encode_ms": Metric(percentile(encodes, 50) if encodes else 0.0, "ms",
-                                 f"median of {len(encodes)} encodes, mask drawn per frame"),
+        "edge_encode_ms": Metric(percentile(encodes, ROUNDTRIP_EDGE_PERCENTILE)
+                                 if encodes else 0.0, "ms",
+                                 f"p{ROUNDTRIP_EDGE_PERCENTILE} of {len(encodes)} request "
+                                 "encodes, mask drawn per frame"),
         "bpp": Metric(_bpp(sizes, workload.size), "bpp"),
         "psnr_db": Metric(np.mean(psnrs), "dB"),
         "peak_rss_mib": _peak_rss(rss_marks, "benchmark process, one request at a time"),
@@ -344,21 +365,18 @@ def _hit_ratio(counts, names):
     return hits / lookups if lookups else 0.0
 
 
-def _edge_pass(encoder, frames, ids, mask, tracer):
-    """The cameras' encodes of one round: contiguous passes after an untimed warm-up.
+def _edge_window(encode, frames):
+    """Median wall time in ms of ``EDGE_WINDOW`` back-to-back ``encode`` calls.
 
-    Returns the packages and each encode's wall time in milliseconds.
+    ``frames`` are encoded in turn after one untimed, cache-warming encode.
     """
-    encoder.encode(frames[0], mask=mask)
+    encode(frames[0])
     times = []
-    for _ in range(-(-EDGE_MIN_ENCODES // len(frames))):
-        packages = []
-        for rid, frame in zip(ids, frames):
-            started = time.perf_counter()
-            package, _ = encode_frame(encoder, frame, tracer, rid, mask=mask)
-            times.append((time.perf_counter() - started) * 1e3)
-            packages.append(package)
-    return packages, times
+    for frame in itertools.islice(itertools.cycle(frames), EDGE_WINDOW):
+        started = time.perf_counter()
+        encode(frame)
+        times.append((time.perf_counter() - started) * 1e3)
+    return statistics.median(times)
 
 
 def run_served(workload, seed, seconds, trace, out_dir):
@@ -386,17 +404,24 @@ def run_served(workload, seed, seconds, trace, out_dir):
                                               workload.paced_rate, n_paced), ROUNDS)
     deadline = time.perf_counter() + RUN_BUDGET_S
     pid, num_shards = os.getpid(), 0
-    setups, encode_ms, sizes, digests, psnrs, replays = [], [], [], [], {}, []
+    setups, edge_windows, sizes, digests, psnrs, replays = [], [], [], [], {}, []
     closed, traced, paced, rss_marks, cpu_s = [], [], [], [], 0.0
     served = Counter()
+
+    def encode(frame):
+        return encoder.encode(frame, mask=mask)
+
     for index in range(ROUNDS):
         ids = closed_ids[index] + traced_ids[index] + paced_ids[index]
         if not ids:
             continue
-        # the cameras and the references first, while no server runs
+        # the cameras and the references first, while no server runs; the
+        # edge is timed in windows here and after each phase, with the server idle
         round_frames = list(itertools.islice(frames, len(ids)))
-        packages, times = _edge_pass(encoder, round_frames, ids, mask, tracer)
-        encode_ms += times
+        packages = [encode_frame(encoder, frame, tracer, rid, mask=mask)[0]
+                    for rid, frame in zip(ids, round_frames)]
+        window_frames = round_frames[:EDGE_WINDOW]
+        edge_windows.append(_edge_window(encode, window_frames))
         blobs, references = {}, {}
         for rid, frame, package in zip(ids, round_frames, packages):
             blobs[rid] = pack_package(package)
@@ -418,20 +443,26 @@ def run_served(workload, seed, seconds, trace, out_dir):
         try:
             generator = LoadGenerator(server, workload.kind, blobs, references, deadline)
             before = _serve_counters(server)
+            # the peak-RSS windows start from the server's live memory, not from what
+            # the allocator kept of this round's reference decodes
+            trim_heap()
             cpu_before = _cpu_seconds(pid, shard_pids)
             with PeakRss(pid, shard_pids) as rss:
                 closed.append(generator.closed(closed_ids[index], workload.outstanding))
             cpu_s += _cpu_seconds(pid, shard_pids) - cpu_before
             rss_marks.append(rss)
+            edge_windows.append(_edge_window(encode, window_frames))
             generator.tracer = tracer if trace else None
             traced.append(generator.closed(traced_ids[index], workload.outstanding))
             offsets = schedule[index]
+            trim_heap()
             with PeakRss(pid, shard_pids) as rss:
                 paced.append(generator.paced(paced_ids[index],
                                              offsets - offsets[0] if offsets.size else offsets))
             rss_marks.append(rss)
             served.update(_serve_counters(server))
             served.subtract(before)
+            edge_windows.append(_edge_window(encode, window_frames))
         finally:
             server.stop()
     closed, traced, paced = (PhaseResult.combine(phases) for phases in (closed, traced, paced))
@@ -457,15 +488,16 @@ def run_served(workload, seed, seconds, trace, out_dir):
                                  f"closed loop, {workload.outstanding} outstanding, from send"),
         "latency_tail_ms": _tail_metric(latencies) if latencies else Metric(0.0, "ms"),
         "success_rate": Metric(ok / attempted, "share", f"{ok}/{attempted}"),
-        "edge_encode_ms": Metric(percentile(encode_ms, 50), "ms",
-                                 f"median of {len(encode_ms)} encodes, shared mask, "
-                                 "contiguous warmed passes, at least "
-                                 f"{EDGE_MIN_ENCODES} a round"),
+        "edge_encode_ms": Metric(min(edge_windows), "ms",
+                                 f"lowest median of {len(edge_windows)} windows of "
+                                 f"{EDGE_WINDOW} encodes spread over the run, shared mask, "
+                                 "server idle"),
         "bpp": Metric(_bpp(sizes, workload.size), "bpp"),
         "psnr_db": Metric(np.mean([psnrs[o.index] for o in ok_outcomes])
                           if ok_outcomes else 0.0, "dB"),
-        "peak_rss_mib": _peak_rss(rss_marks, "parent + largest shard"
-                                  if workload.server == "sharded" else "server process"),
+        "peak_rss_mib": _peak_rss(rss_marks, ("parent + largest shard"
+                                   if workload.server == "sharded" else "server process")
+                                  + ", heap trimmed at each phase's start"),
     }
     lags = paced.lags_ms()
     paced_p50 = percentile(paced_latencies, 50) if paced_latencies else 0.0
