@@ -21,10 +21,10 @@ core both paths are memory-bound, so the section carries a ``skipped``
 marker there like the sharded/shm bars).
 
 The ``serving`` section measures the batched serving path: images/sec of
-``reconstruct_batch`` (the fused multi-image engine) against sequential
-per-image ``reconstruct_image`` calls on 256² RGB, across batch sizes, plus
-the batched ``decode_batch`` roundtrip — the acceptance bar is ≥1.5x
-images/sec for batched reconstruction at batch ≥ 4.
+``reconstruct_batch`` against N single-image ``reconstruct_image`` calls on
+256² RGB, across batch sizes, plus the batched ``decode_batch`` roundtrip.
+Both sides run the same fused engine, so these ratios are information only;
+no bar guards them.
 
 The ``serving.sharded`` subsection drives the full 256² RGB reconstruct
 workload through a live 2-shard :class:`ShardedCompressionServer` and the
@@ -293,7 +293,14 @@ def dct_section(config, mask, size=512, batch=8, repeats=7):
 
 def serving_section(config, model, codec, mask, batch_sizes=(1, 2, 4, 8),
                     size=256, repeats=5):
-    """Batched serving throughput vs sequential per-image calls (256² RGB)."""
+    """Batched reconstruction throughput vs N single-image calls (256² RGB).
+
+    Both sides run the model's one fused engine, so ``speedup_vs_sequential``
+    only shows what stacking images into one engine call amortises; it is
+    recorded for information and guards nothing.  Engine speed is guarded
+    by the ``roundtrip_512_rgb`` bar and the serving budget in
+    ``tests/test_perf_smoke.py``.
+    """
     rng_images = [synthetic_image(size, color=True, seed_value=100 + index)
                   for index in range(max(batch_sizes))]
     encoder = EaszEncoder(config, base_codec=codec, seed=0)

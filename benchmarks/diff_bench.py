@@ -24,7 +24,6 @@ GUARDED_BARS = (
     (("roundtrip_512_rgb", "speedup"), 5.0),
     (("entropy", "speedup"), 3.0),
     (("dct", "speedup"), 1.5),
-    (("serving", "batches", "4", "speedup_vs_sequential"), 1.5),
     (("serving", "sharded", "speedup_vs_threaded"), 1.3),
     (("serving", "shm", "speedup_vs_queue"), 1.15),
 )

@@ -1,16 +1,20 @@
-"""Fused float32 inference engine for multi-image batched reconstruction.
+"""Fused float32 inference engine: the reconstructor's one inference forward.
 
-:meth:`EaszReconstructor._forward_fast` already removes autograd and runs the
-per-image hot path in float32; profiling the serving workload shows the next
-bottleneck is *reduction* traffic: ``axis=-1`` softmax max/sum and layer-norm
-mean/variance reductions cost more than the GEMMs themselves at the model's
-small ``d_model``.  This module compiles a reconstructor into a
-:class:`FusedBatchEngine` that the batched serving path shares across images:
+Every inference call — :func:`~repro.core.reconstruction.reconstruct_image`,
+:func:`~repro.core.reconstruction.reconstruct_batch` and
+:meth:`~repro.core.reconstruction.EaszReconstructor.reconstruct_tokens` —
+runs a :class:`FusedBatchEngine` compiled from the reconstructor.  The
+autograd :meth:`~repro.core.reconstruction.EaszReconstructor.forward` stays
+for training (it alone applies dropout) and as the float64 test oracle.
+
+At the model's small ``d_model`` the *reduction* traffic (``axis=-1``
+softmax max/sum, layer-norm mean/variance) costs more than the GEMMs, so
+the engine is laid out around it:
 
 * all weights are pre-cast to float32 **once** (transposed for row-major
   GEMMs, the attention scale folded into the query projection, the Q/K/V
-  projections concatenated) and invalidated by the same cheap parameter
-  fingerprint `_forward_fast` uses;
+  projections concatenated) and invalidated by a cheap parameter
+  fingerprint;
 * layer-norm mean and variance are computed as matmuls against a constant
   ``1/d`` vector, turning the slow strided reductions into BLAS calls;
 * softmax skips the per-row max subtraction (a guarded fast path: scores of a
@@ -22,9 +26,8 @@ small ``d_model``.  This module compiles a reconstructor into a
 
 The engine processes stacked tokens from any number of images in
 cache-friendly chunks, so one engine call serves a whole micro-batch.
-Numerics differ from `_forward_fast` only by float32 rounding (different but
-equally valid summation orders); reconstructions agree to ~1e-6, far below a
-pixel quantisation step.
+Numerics differ from the float64 autograd forward only by float32 rounding;
+reconstructions agree to ~1e-6, far below a pixel quantisation step.
 """
 
 from __future__ import annotations
@@ -47,7 +50,13 @@ _SOFTMAX_GUARD = 60.0
 
 
 def _fingerprint(model):
-    """Cheap parameter identity+content token (see ``_forward_fast``)."""
+    """Cheap parameter identity+content token.
+
+    The identity of every ``p.data`` array catches rebinding (the optimizer
+    and ``load_state_dict`` rebind it); its element sum catches in-place
+    mutation such as ``p.data *= 0.5``.  Both cost microseconds next to a
+    forward pass.
+    """
     return tuple((id(p.data), float(p.data.sum())) for p in model.parameters())
 
 

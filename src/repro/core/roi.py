@@ -294,7 +294,7 @@ class RoiEaszDecoder:
             if member_indices.size == 0:
                 continue
             # Lay the group's patches out in a row so reconstruct_image's
-            # patchify recovers exactly these patches (keeps colour handling
+            # patch grid covers exactly these patches (keeps colour handling
             # and per-channel processing in one place).
             group = np.concatenate([filled_patches[i] for i in member_indices], axis=1)
             restored = reconstruct_image(self.model, group, mask)

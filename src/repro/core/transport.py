@@ -67,8 +67,25 @@ def _decode_container(data, magic):
     header_end = 9 + header_length
     if header_end > len(data):
         raise ValueError("truncated container header")
-    header = json.loads(data[9:header_end].decode("utf-8"))
+    try:
+        header = json.loads(data[9:header_end].decode("utf-8"))
+    except RecursionError as error:
+        raise ValueError("container header nests too deeply") from error
+    if not isinstance(header, dict):
+        raise ValueError("container header is not a JSON object")
     return header, data[header_end:]
+
+
+def _require(header, fields, lengths):
+    """Reject a header that lacks a field or declares a bad binary length."""
+    missing = [name for name in fields + lengths if name not in header]
+    if missing:
+        raise ValueError(f"container header lacks {', '.join(missing)}")
+    for name in lengths:
+        value = header[name]
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise ValueError(f"container header {name}={value!r} is not a "
+                             "non-negative integer")
 
 
 def _tuplify(value):
@@ -105,6 +122,8 @@ def pack_compressed(compressed):
 def unpack_compressed(data):
     """Inverse of :func:`pack_compressed`."""
     header, binary = _decode_container(data, _CIMG_MAGIC)
+    _require(header, ("codec_name", "original_shape", "extra_bytes", "metadata"),
+             ("payload_length",))
     payload_length = header["payload_length"]
     if len(binary) < payload_length:
         raise ValueError("truncated CompressedImage payload")
@@ -156,6 +175,9 @@ def pack_package(package):
 def unpack_package(data):
     """Inverse of :func:`pack_package`."""
     header, binary = _decode_container(data, _EASZ_MAGIC)
+    _require(header, ("codec_name", "codec_metadata", "codec_extra_bytes",
+                      "codec_original_shape", "grid_shape", "original_shape",
+                      "squeezed_shape"), ("mask_length", "payload_length"))
     mask_length = header["mask_length"]
     payload_length = header["payload_length"]
     if len(binary) < mask_length + payload_length:

@@ -136,6 +136,69 @@ class TestEaszPackageContainer:
             unpack_package(pack_compressed(compressed))
 
 
+def _with_header(container, edit):
+    """Rebuild ``container`` with ``edit(header)`` as its JSON header."""
+    import json as json_module
+    header_length = int.from_bytes(container[5:9], "big")
+    header = edit(json_module.loads(container[9:9 + header_length].decode("utf-8")))
+    new_header = json_module.dumps(header, separators=(",", ":")).encode("utf-8")
+    return (container[:5] + len(new_header).to_bytes(4, "big") + new_header
+            + container[9 + header_length:])
+
+
+def _without(name):
+    return lambda header: {key: value for key, value in header.items() if key != name}
+
+
+def _setting(name, value):
+    return lambda header: dict(header, **{name: value})
+
+
+class TestMalformedHeaders:
+    """Forged headers fail with ``ValueError``, like a truncated container."""
+
+    @pytest.mark.parametrize("edit", [
+        lambda header: list(header.values()),
+        lambda header: "EASZ",
+        _without("mask_length"),
+        _without("payload_length"),
+        _without("grid_shape"),
+        _without("codec_name"),
+        _setting("mask_length", -5),
+        _setting("payload_length", -1),
+        _setting("mask_length", "7"),
+        _setting("mask_length", 2.5),
+        _setting("payload_length", None),
+        _setting("mask_length", True),
+    ], ids=["list-header", "string-header", "no-mask-length", "no-payload-length",
+            "no-grid-shape", "no-codec-name", "negative-mask-length",
+            "negative-payload-length", "string-length", "float-length",
+            "null-length", "bool-length"])
+    def test_easz_header_rejected(self, easz_package, edit):
+        package, _ = easz_package
+        forged = _with_header(pack_package(package), edit)
+        with pytest.raises(ValueError, match="container header"):
+            unpack_package(forged)
+
+    @pytest.mark.parametrize("edit", [
+        lambda header: [header],
+        _without("payload_length"),
+        _without("metadata"),
+        _setting("payload_length", -3),
+    ], ids=["list-header", "no-payload-length", "no-metadata",
+            "negative-payload-length"])
+    def test_cimg_header_rejected(self, kodak_small, edit):
+        container = pack_compressed(JpegCodec(quality=70).compress(kodak_small[0]))
+        with pytest.raises(ValueError, match="container header"):
+            unpack_compressed(_with_header(container, edit))
+
+    def test_deeply_nested_header_rejected(self):
+        header = b"[" * 100_000 + b"]" * 100_000
+        forged = _EASZ_MAGIC + b"\x01" + len(header).to_bytes(4, "big") + header
+        with pytest.raises(ValueError, match="container header"):
+            unpack_package(forged)
+
+
 class TestBinaryPartEdgeCases:
     """Truncated / oversized binary parts and zero-byte payloads."""
 

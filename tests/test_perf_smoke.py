@@ -10,9 +10,9 @@ failing loudly if a hot path regresses to O(n) Python loops.
 
 The serving guard plays the same role for the batched path: reconstructing
 four 256² RGB images through ``reconstruct_batch`` takes ~0.27 CPU-seconds
-with the fused engine (vs ~0.42 for sequential per-image calls); a 1.2
-CPU-second budget fails loudly if the engine silently falls back to the
-per-image path or a batched stage regresses to Python loops.
+with the fused engine; a 1.2 CPU-second budget fails loudly if the engine
+silently falls back to the autograd forward or a batched stage regresses to
+Python loops.
 
 The sharded guard checks the *recorded* ``serving.sharded`` bar in
 ``BENCH_throughput.json`` (≥1.3x images/sec over the threaded server at 2
@@ -101,7 +101,7 @@ def test_batched_reconstruction_within_budget():
     assert elapsed < _SERVING_BUDGET_CPU_SECONDS, (
         f"batched reconstruction of 4x256x256 RGB took {elapsed:.2f} CPU-seconds "
         f"(budget {_SERVING_BUDGET_CPU_SECONDS}); the fused batch engine likely "
-        "fell back to per-image calls or a batched stage regressed"
+        "fell back to the autograd forward or a batched stage regressed"
     )
 
 

@@ -343,10 +343,18 @@ class TestPatchifyAndReconstructEquivalence:
         mask = proposed_mask(config.grid_size, 1, seed=1)
         tokens = np.random.default_rng(2).random(
             (7, config.tokens_per_patch, config.token_dim))
-        with nn.no_grad():
-            reference = model.forward(tokens, mask).data
-        fast = model.reconstruct_tokens(tokens, mask, keep_original=False)
-        assert np.allclose(fast, reference, atol=1e-5)
+        kept = np.asarray(mask, dtype=bool).reshape(-1)
+        for _ in range(2):
+            with nn.no_grad():
+                reference = model.forward(tokens, mask).data
+            fast = model.reconstruct_tokens(tokens, mask, keep_original=False)
+            assert np.allclose(fast, reference, atol=1e-5)
+            kept_original = model.reconstruct_tokens(tokens, mask)
+            assert np.array_equal(kept_original[:, kept], tokens[:, kept])
+            assert np.allclose(kept_original[:, ~kept], reference[:, ~kept], atol=1e-5)
+            # the compiled engine must follow an in-place weight change
+            for parameter in model.parameters():
+                parameter.data *= 0.5
 
     def test_scatter_plan_cached_per_mask(self):
         config = EaszConfig(patch_size=8, subpatch_size=2, erase_per_row=1,
